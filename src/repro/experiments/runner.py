@@ -20,6 +20,7 @@ quantum stay realistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -160,6 +161,28 @@ class ExperimentConfig:
     # DEFAULT_RT_OVERSUBSCRIPTION for that kind).
     streams: Optional[int] = None
     oversubscription: float = 1.0
+
+    def __post_init__(self):
+        # Reject bad knobs here rather than as a hang or a nonsense
+        # figure deep inside a run (a NaN quantum never expires).
+        if self.quantum is not None and not (
+            math.isfinite(self.quantum) and self.quantum > 0
+        ):
+            raise ValueError(f"quantum must be finite and > 0: {self.quantum!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(
+                f"tolerance must be finite and >= 0: {self.tolerance!r}"
+            )
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and > 0: {self.scale!r}")
+        if not (math.isfinite(self.wake_latency) and self.wake_latency >= 0):
+            raise ValueError(
+                f"wake_latency must be finite and >= 0: {self.wake_latency!r}"
+            )
+        if self.curve_batches < 1:
+            raise ValueError(
+                f"curve_batches must be >= 1: {self.curve_batches!r}"
+            )
 
 
 def get_graph(model: str, scale: float, graph_seed: int) -> Graph:

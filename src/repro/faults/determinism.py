@@ -12,6 +12,7 @@ exactly, making the digest sensitive to any drift at all.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Iterable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,9 +23,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["trace_digest"]
 
 
-def _feed(hasher, text: str) -> None:
-    hasher.update(text.encode("utf-8"))
-    hasher.update(b"\n")
+def _feed(hasher, lines: Iterable[str]) -> None:
+    """Hash newline-terminated ``lines`` as one ``update()``."""
+    hasher.update("".join(lines).encode("utf-8"))
+
+
+def _status(job) -> str:
+    if job.failed:
+        return "failed"
+    return "cancelled" if job.cancelled else "ok"
 
 
 def trace_digest(
@@ -38,55 +45,52 @@ def trace_digest(
     server's tracer (per key), every scheduling decision and closed
     tenure (when a gang scheduler is given), and every completed job's
     identity, timing, and terminal status.
+
+    The hashed byte stream is one ``repr``-rendered line per record,
+    each terminated by ``\\n``.  It is fed one ``update()`` per tracer
+    key (formatted straight from the tracer's raw rows, with no
+    :class:`~repro.sim.trace.Interval` objects) and one per tail
+    section; SHA-256 depends only on the concatenated bytes, so the
+    chunking does not affect the digest.
     """
     hasher = hashlib.sha256()
 
     tracer = server.tracer
     for key in sorted(tracer.keys(), key=str):
-        _feed(hasher, f"key:{key!r}")
-        for interval in tracer.intervals(key):
-            _feed(
-                hasher,
-                f"iv:{interval.start!r}:{interval.end!r}:{interval.tag!r}",
-            )
+        rows = tracer.rows(key)
+        # One "iv:<start>:<end>:<tag>" line per (start, end, tag) row,
+        # formatted in a single pass over the flattened rows.
+        lines = ("iv:%r:%r:%r\n" * len(rows)) % tuple(chain.from_iterable(rows))
+        hasher.update(f"key:{key!r}\n{lines}".encode("utf-8"))
 
     if scheduler is not None:
-        for decision in scheduler.decisions:
-            _feed(
-                hasher,
-                f"dec:{decision.time!r}:{decision.prev_job_id!r}"
-                f":{decision.next_job_id!r}",
-            )
-        for tenure in scheduler.tenures:
-            _feed(
-                hasher,
-                f"ten:{tenure.job_id}:{tenure.start!r}:{tenure.end!r}",
-            )
-        for eviction in getattr(scheduler, "evictions", []):
-            _feed(
-                hasher,
-                f"ev:{eviction.time!r}:{eviction.job_id}:{eviction.reason}",
-            )
+        _feed(hasher, (
+            f"dec:{decision.time!r}:{decision.prev_job_id!r}"
+            f":{decision.next_job_id!r}\n"
+            for decision in scheduler.decisions
+        ))
+        _feed(hasher, (
+            f"ten:{tenure.job_id}:{tenure.start!r}:{tenure.end!r}\n"
+            for tenure in scheduler.tenures
+        ))
+        _feed(hasher, (
+            f"ev:{eviction.time!r}:{eviction.job_id}:{eviction.reason}\n"
+            for eviction in getattr(scheduler, "evictions", [])
+        ))
 
-    for job in server.completed_jobs:
-        status = (
-            "failed" if job.failed else
-            "cancelled" if job.cancelled else "ok"
-        )
-        _feed(
-            hasher,
-            f"job:{job.job_id}:{job.submitted_at!r}:{job.finished_at!r}"
-            f":{job.nodes_executed}:{status}",
-        )
+    _feed(hasher, (
+        f"job:{job.job_id}:{job.submitted_at!r}:{job.finished_at!r}"
+        f":{job.nodes_executed}:{_status(job)}\n"
+        for job in server.completed_jobs
+    ))
 
     if clients is not None:
-        for client in clients:
-            _feed(
-                hasher,
-                f"cl:{client.client_id}:{client.started_at!r}"
-                f":{client.finished_at!r}:{client.timed_out_batches}"
-                f":{getattr(client, 'failed_batches', 0)}"
-                f":{getattr(client, 'retries', 0)}",
-            )
+        _feed(hasher, (
+            f"cl:{client.client_id}:{client.started_at!r}"
+            f":{client.finished_at!r}:{client.timed_out_batches}"
+            f":{getattr(client, 'failed_batches', 0)}"
+            f":{getattr(client, 'retries', 0)}\n"
+            for client in clients
+        ))
 
     return hasher.hexdigest()

@@ -34,8 +34,9 @@ pre-spatial driver, including its RNG draw sequence.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..graph.node import Node
 from ..sanitize import sim_sanitizer
@@ -68,6 +69,16 @@ class Driver:
         self.arbitration_noise = arbitration_noise
         self._queues: Dict[Any, Deque[Kernel]] = {}
         self._ranks: Dict[Any, float] = {}
+        # Creation ordinal of every stream in ``_queues``; a pruned
+        # stream that is relaunched gets a fresh (largest) ordinal,
+        # exactly as it is re-inserted at the end of ``_queues``.
+        self._order: Dict[Any, int] = {}
+        self._streams_created = 0
+        # The non-empty streams in creation (``_queues`` insertion)
+        # order, kept incrementally so a pick never scans ``_queues``;
+        # ``_nonempty_order`` holds their ordinals for bisection.
+        self._nonempty: List[Any] = []
+        self._nonempty_order: List[int] = []
         self._queued = 0
         self._current_stream: Optional[Any] = None
         self._waiter: Optional[Event] = None
@@ -178,6 +189,10 @@ class Driver:
             self._queues[job_id] = queue
             # Stream creation: draw this stream's arbitration rank.
             self._ranks[job_id] = self.rng.random()
+            self._order[job_id] = self._streams_created
+            self._streams_created += 1
+        if not queue:
+            self._mark_nonempty(job_id)
         queue.append(kernel)
         self._queued += 1
         if self._queued > self.max_queue_depth:
@@ -240,6 +255,8 @@ class Driver:
                         job_id, retry_after=reject_until - self.sim.now
                     )
                 )
+        self._nonempty.clear()
+        self._nonempty_order.clear()
         self.kernels_flushed += flushed
         return flushed
 
@@ -289,7 +306,7 @@ class Driver:
         """Serve the highest-ranked non-empty stream."""
         if not self._queued:
             return None
-        nonempty = [job_id for job_id, queue in self._queues.items() if queue]
+        nonempty = self._nonempty
         if len(nonempty) == 1:
             chosen = nonempty[0]
         else:
@@ -312,20 +329,8 @@ class Driver:
         self._current_stream = chosen
         # Opportunistic cleanup of long-empty stream queues.
         if len(self._queues) > 4 * len(nonempty) + 8:
-            keep = set(nonempty)
-            keep.add(chosen)
-            self._queues = {
-                job_id: queue
-                for job_id, queue in self._queues.items()
-                if job_id in keep
-            }
-            self._ranks = {
-                job_id: rank
-                for job_id, rank in self._ranks.items()
-                if job_id in self._queues
-            }
-        self._queued -= 1
-        return self._queues[chosen].popleft()
+            self._prune()
+        return self._take(chosen)
 
     def _pop_eligible(
         self, eligible: Callable[[Any], bool]
@@ -340,8 +345,7 @@ class Driver:
         """
         if not self._queued:
             return None
-        nonempty = [job_id for job_id, queue in self._queues.items() if queue]
-        candidates = [job_id for job_id in nonempty if eligible(job_id)]
+        candidates = [job_id for job_id in self._nonempty if eligible(job_id)]
         if not candidates:
             return None
         if len(candidates) == 1:
@@ -362,21 +366,49 @@ class Driver:
         self._current_stream = chosen
         # Same opportunistic cleanup as _pop, but keyed on *all*
         # non-empty streams — ineligible queues must survive.
-        if len(self._queues) > 4 * len(nonempty) + 8:
-            keep = set(nonempty)
-            keep.add(chosen)
-            self._queues = {
-                job_id: queue
-                for job_id, queue in self._queues.items()
-                if job_id in keep
-            }
-            self._ranks = {
-                job_id: rank
-                for job_id, rank in self._ranks.items()
-                if job_id in self._queues
-            }
+        if len(self._queues) > 4 * len(self._nonempty) + 8:
+            self._prune()
+        return self._take(chosen)
+
+    # ------------------------------------------------------------------
+    # Non-empty stream index
+    # ------------------------------------------------------------------
+
+    def _mark_nonempty(self, job_id: Any) -> None:
+        """Insert ``job_id``'s stream at its creation-order position."""
+        order = self._order[job_id]
+        orders = self._nonempty_order
+        if not orders or order > orders[-1]:
+            orders.append(order)
+            self._nonempty.append(job_id)
+        else:
+            index = bisect_left(orders, order)
+            orders.insert(index, order)
+            self._nonempty.insert(index, job_id)
+
+    def _take(self, chosen: Any) -> Kernel:
+        """Dequeue ``chosen``'s head kernel, unlisting a drained stream."""
         self._queued -= 1
-        return self._queues[chosen].popleft()
+        queue = self._queues[chosen]
+        kernel = queue.popleft()
+        if not queue:
+            index = self._nonempty.index(chosen)
+            del self._nonempty[index]
+            del self._nonempty_order[index]
+        return kernel
+
+    def _prune(self) -> None:
+        """Forget every empty stream (its queue, rank and ordinal).
+
+        The survivors are exactly the non-empty streams, whose list is
+        already in ``_queues`` order, so rebuilding from it preserves
+        the creation order of every dict.
+        """
+        queues, ranks, order = self._queues, self._ranks, self._order
+        keep = self._nonempty
+        self._queues = {job_id: queues[job_id] for job_id in keep}
+        self._ranks = {job_id: ranks[job_id] for job_id in keep}
+        self._order = {job_id: order[job_id] for job_id in keep}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -396,11 +428,11 @@ class Driver:
     def _sanitize_state(self):
         """Arbitration state checksummed around telemetry seams.
 
-        Queue contents, arbitration ranks, and the RNG stream: any of
-        these drifting during an emit would change which stream the
-        next pick serves.  Stream dicts are reported in creation
-        (insertion) order, which is itself part of the arbitration
-        contract.
+        Queue contents, arbitration ranks, the non-empty stream index,
+        and the RNG stream: any of these drifting during an emit would
+        change which stream the next pick serves.  Stream dicts are
+        reported in creation (insertion) order, which is itself part of
+        the arbitration contract.
         """
         return (
             self._queued,
@@ -412,5 +444,9 @@ class Driver:
                 (job_id, len(queue)) for job_id, queue in self._queues.items()
             ),
             tuple(self._ranks.items()),
+            tuple(self._order.items()),
+            self._streams_created,
+            tuple(self._nonempty),
+            tuple(self._nonempty_order),
             self.rng.getstate(),
         )

@@ -209,8 +209,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid timeout delay: {delay!r}")
         # Flattened Event.__init__: a fresh timeout cannot already be
         # queued, so it inserts straight into the calendar.
         self.sim = sim

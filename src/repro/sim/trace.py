@@ -12,15 +12,18 @@ provides:
 
 The tracer sits on the simulation's hot path (two records per executed
 GPU kernel), so it stores raw ``(start, end, tag)`` tuples in flat
-per-key lists and only materialises :class:`Interval` objects lazily,
-when an analysis view (:meth:`IntervalTracer.intervals` /
-:meth:`IntervalTracer.all_intervals`) asks for them.
+per-key lists — one copy of each record, with no global row log — and
+only materialises :class:`Interval` objects lazily, when an analysis
+view (:meth:`IntervalTracer.intervals` /
+:meth:`IntervalTracer.all_intervals`) asks for them.  Consumers that
+only read the rows (the trace digest) use :meth:`IntervalTracer.rows`,
+which hands out the stored tuples without building any objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Interval",
@@ -97,16 +100,14 @@ class IntervalTracer:
 
     Intervals are grouped by ``key`` (typically a job id) so that
     per-job GPU durations can be computed afterwards.  Internally each
-    record is one appended ``(start, end, tag)`` tuple; the
-    :class:`Interval` object views are built on demand.
+    record is one ``(start, end, tag)`` tuple appended to its key's
+    list; the :class:`Interval` object views are built on demand.
     """
 
     def __init__(self):
         self._open: Dict[Any, float] = {}
         # key -> [(start, end, tag), ...] in record order.
         self._raw: Dict[Any, List[Tuple[float, float, Any]]] = {}
-        # Global record order: (key, start, end, tag).
-        self._all_raw: List[Tuple[Any, float, float, Any]] = []
 
     def begin(self, key: Any, now: float) -> None:
         """Open an interval for ``key`` at time ``now``."""
@@ -133,7 +134,6 @@ class IntervalTracer:
         if rows is None:
             rows = self._raw[key] = []
         rows.append((start, end, tag))
-        self._all_raw.append((key, start, end, tag))
 
     def intervals(self, key: Any) -> List[Interval]:
         return [
@@ -141,13 +141,28 @@ class IntervalTracer:
             for start, end, tag in self._raw.get(key, ())
         ]
 
+    def rows(self, key: Any) -> Sequence[Tuple[float, float, Any]]:
+        """The raw ``(start, end, tag)`` rows of ``key``, in record order.
+
+        A read-only view of the tracer's own storage: callers must not
+        mutate it.  Empty for a key that never recorded.
+        """
+        return self._raw.get(key, ())
+
     def keys(self) -> List[Any]:
         return list(self._raw.keys())
 
     def all_intervals(self) -> List[Interval]:
+        """Every recorded interval, grouped by key.
+
+        Keys come in first-record order and each key's intervals in
+        record order; records of different keys are not interleaved by
+        time.
+        """
         return [
             Interval(start, end, tag)
-            for _key, start, end, tag in self._all_raw
+            for rows in self._raw.values()
+            for start, end, tag in rows
         ]
 
     def spans(self, key: Any) -> List[Tuple[float, float]]:
@@ -174,4 +189,3 @@ class IntervalTracer:
     def clear(self) -> None:
         self._open.clear()
         self._raw.clear()
-        self._all_raw.clear()

@@ -192,8 +192,8 @@ def build_kernel(
         _t_pop: Any = t_pool.pop,
     ) -> Any:
         nonlocal seq, cache_t, cache_b, far_min
-        if delay < 0.0:
-            raise error_t(f"negative timeout delay: {delay!r}")
+        if not delay >= 0.0:
+            raise error_t(f"invalid timeout delay: {delay!r}")
         if _t_pool:
             ev = _t_pop()
             ev._value = value
@@ -302,8 +302,8 @@ def build_kernel(
         """
         ds = list(delays)
         for d in ds:
-            if d < 0.0:
-                raise error_t(f"negative timeout delay: {d!r}")
+            if not d >= 0.0:
+                raise error_t(f"invalid timeout delay: {d!r}")
         if not ds:
             return []
         acc = np.empty(len(ds) + 1, dtype=np.float64)

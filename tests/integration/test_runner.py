@@ -73,3 +73,36 @@ class TestRunner:
         a = run_workload(specs, scheduler="fair", config=FAST)
         b = run_workload(specs, scheduler="fair", config=FAST)
         assert a.finish_times == b.finish_times
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("quantum", float("nan")),
+        ("quantum", 0.0),
+        ("quantum", -1e-3),
+        ("quantum", float("inf")),
+        ("tolerance", -1.0),
+        ("tolerance", float("nan")),
+        ("tolerance", float("inf")),
+        ("scale", 0.0),
+        ("scale", -0.05),
+        ("scale", float("nan")),
+        ("scale", float("inf")),
+        ("wake_latency", -1e-6),
+        ("wake_latency", float("nan")),
+        ("wake_latency", float("inf")),
+        ("curve_batches", 0),
+        ("curve_batches", -2),
+    ],
+)
+def test_experiment_config_rejects_bad_knobs(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_experiment_config_accepts_boundary_values():
+    config = ExperimentConfig(
+        quantum=None, tolerance=0.0, wake_latency=0.0, curve_batches=1
+    )
+    assert config.quantum is None and config.curve_batches == 1

@@ -25,7 +25,14 @@ import random
 
 import pytest
 
-from repro.sim.core import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim.core import (
+    AllOf,
+    AnyOf,
+    Interrupt,
+    SimulationError,
+    Simulator,
+    Timeout,
+)
 
 
 def run_pair(build, seed, until=None):
@@ -394,3 +401,67 @@ def test_pool_reuse_after_cancellation_is_clean():
     sim.process(flaky())
     sim.run()
     assert log == [("cancelled", 1.0), ("clean", 2.0)]
+
+
+# ----------------------------------------------------------------------
+# NaN deadlines: rejected at the call site by every run loop
+# ----------------------------------------------------------------------
+
+RUNNERS = {
+    "run": lambda sim: sim.run(),
+    "run_reference": lambda sim: sim.run_reference(),
+    "run_max_steps": lambda sim: sim.run(max_steps=1000),
+}
+
+
+@pytest.mark.parametrize("make", ["timeout", "timeout_chain", "Timeout"])
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_nan_delay_fails_fast_in_every_loop(runner, make):
+    # A NaN deadline compares false against everything, so once in
+    # the calendar it can wedge the fast loop.  Every loop must surface
+    # the same SimulationError, raised by the factory call inside the
+    # process at the time of the call, before anything is scheduled.
+    nan = float("nan")
+    factories = {
+        "timeout": lambda sim: sim.timeout(nan),
+        "timeout_chain": lambda sim: sim.timeout_chain([1e-3, nan])[-1],
+        "Timeout": lambda sim: Timeout(sim, nan),
+    }
+    sim = Simulator()
+    log = []
+
+    def worker():
+        yield sim.timeout(0.5)
+        log.append(sim.now)
+        yield factories[make](sim)
+        log.append("resumed")
+
+    def bystander():
+        yield sim.timeout(2.0)
+        log.append("bystander")
+
+    sim.process(worker(), name="worker")
+    sim.process(bystander(), name="bystander")
+    with pytest.raises(SimulationError, match="invalid timeout delay: nan") as exc:
+        RUNNERS[runner](sim)
+    assert log == [0.5]
+    assert sim.now == 0.5
+    assert "worker" in [entry.name for entry in exc.traceback]
+    # Nothing was scheduled for the bad call: only the bystander waits.
+    assert sim.peek() == 2.0
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1.0, float("-inf")])
+def test_invalid_delays_rejected_before_scheduling(delay):
+    sim = Simulator()
+    for call in (
+        lambda: sim.timeout(delay),
+        lambda: sim.timeout_chain([0.0, 1.0, delay]),
+        lambda: Timeout(sim, delay),
+    ):
+        with pytest.raises(SimulationError, match="invalid timeout delay"):
+            call()
+    assert sim.peek() == float("inf")
+    sim.run()
+    sim.run_reference()
+    assert sim.now == 0.0
