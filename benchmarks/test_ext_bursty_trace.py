@@ -1,4 +1,4 @@
-"""Extension: predictability under bursty trace replay.
+"""Extension: predictability under a bursty request trace.
 
 The paper's introduction motivates GPU multiplexing with "intermittent
 and bursty" application usage.  This extension replays a two-state
@@ -12,7 +12,7 @@ from repro.experiments import ExperimentConfig, get_graph, get_profiler_output
 from repro.metrics import percentile, render_table
 from repro.serving import ModelServer, ServerConfig
 from repro.sim import Simulator
-from repro.workloads import bursty_trace, replay
+from repro.workloads import as_arrivals, bursty_trace, drive
 from benchmarks.conftest import run_once
 
 SCALE = 0.05
@@ -44,9 +44,9 @@ def _run(kind: str):
         sim, ServerConfig(track_memory=False, seed=4), scheduler=scheduler
     )
     server.load_model(graph)
-    outcome = replay(sim, server, trace)
+    stats = drive(sim, server, as_arrivals(trace))
     sim.run()
-    return outcome
+    return stats
 
 
 def _measure():

@@ -26,9 +26,15 @@ from repro.core import (
     ProfileStore,
     QuantumMonitor,
 )
-from repro.serving import Client, ModelServer, ServerConfig
+from repro.serving import (
+    AdmissionConfig,
+    AdmissionGate,
+    Client,
+    ModelServer,
+    ServerConfig,
+)
 from repro.sim import Simulator
-from repro.slo import FairShareEstimator, SloAdmissionController
+from repro.slo import FairShareEstimator
 from repro.zoo import INCEPTION_V4, generate_graph
 
 QUANTUM = 1.2e-3
@@ -58,27 +64,37 @@ def main():
     sim, server, scheduler = build_stack(store)
     server.load_model(graph)
     estimator = FairShareEstimator(store, overhead=0.05, host_fraction=0.2)
-    controller = SloAdmissionController(server, estimator)
+    num_requests = 12
+    # Pure SLO admission: a ceiling the burst cannot reach, so the only
+    # refusal is the estimator's "SLO hopeless at this load".
+    gate = AdmissionGate(
+        AdmissionConfig(max_active=num_requests, headroom=1.0, defer=False),
+        estimator=estimator,
+    ).attach(server)
     slo = 4 * profile.gpu_duration
+    admitted = []
 
     def burst():
-        for i in range(12):
+        for i in range(num_requests):
             job = server.make_job(f"r{i}", graph.name, 100)
-            granted = controller.try_submit(job, slo=slo)
-            state = "admitted" if granted is not None else "REJECTED"
+            estimate = estimator.estimate_for(server, graph.name, 100)
+            decision = gate.submit(job, slo=slo)
+            if decision.action == "admit":
+                admitted.append(job)
+            state = "admitted" if decision.action == "admit" else "REJECTED"
             print(
                 f"t={sim.now * 1e3:7.1f} ms  request r{i}: {state} "
-                f"(estimate {controller.decisions[-1].estimate * 1e3:.0f} ms, "
+                f"(estimate {estimate * 1e3:.0f} ms, "
                 f"SLO {slo * 1e3:.0f} ms)"
             )
             yield sim.timeout(profile.gpu_duration / 3)
 
     sim.process(burst())
     sim.run()
+    met = sum(1 for job in admitted if job.latency <= slo)
     print(
-        f"\nSLO attainment of admitted jobs: {controller.attainment():.0%} "
-        f"({controller.admitted_count} admitted, "
-        f"{controller.rejected_count} rejected)\n"
+        f"\nSLO attainment of admitted jobs: {met / len(admitted):.0%} "
+        f"({len(admitted)} admitted, {gate.rejected} rejected)\n"
     )
 
     # ------------------------------------------------------------------

@@ -17,10 +17,12 @@ experiment here, built from the same substrate as the reproduction:
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..cluster.placement import StickyClientPlacement
 from ..cluster.server import MultiGpuServer
@@ -36,12 +38,15 @@ from ..metrics.report import (
     format_seconds,
     render_table,
 )
+from ..serving.admission import AdmissionConfig, AdmissionGate
 from ..serving.client import Client
 from ..serving.failures import RetryPolicy
 from ..serving.server import ModelServer, ServerConfig
 from ..sim.core import Simulator
 from ..sim.rng import derive_seed
 from ..workloads.scenarios import homogeneous_workload, with_priorities, with_weights
+from ..workloads.trace import TraceRequest, as_arrivals
+from ..workloads.traffic import Arrival, drive, poisson_times
 from ..zoo.catalog import INCEPTION_V4
 from .runner import DEFAULT_SCALE, ExperimentConfig, get_graph, get_profiler_output, run_workload
 
@@ -107,6 +112,19 @@ class LatencyResult:
         )
 
 
+def _poisson_requests(
+    rng: random.Random,
+    rate: float,
+    count: int,
+    model: str,
+    batch_size: int,
+    slo: Optional[float] = None,
+) -> Iterator[Arrival]:
+    """``count`` Poisson arrivals at ``rate``/s, served through :func:`drive`."""
+    times = itertools.islice(poisson_times(rng, rate, math.inf), count)
+    return as_arrivals(TraceRequest(t, model, batch_size, slo) for t in times)
+
+
 def _open_loop_run(
     scheduler_kind: str,
     arrival_rate: float,
@@ -135,26 +153,15 @@ def _open_loop_run(
     )
     server.load_model(graph)
     rng = random.Random(derive_seed(seed, f"arrivals:{scheduler_kind}"))
-    latencies: List[float] = []
-
-    def request_stream():
-        for index in range(num_requests):
-            yield sim.timeout(rng.expovariate(arrival_rate))
-            job = server.make_job(f"req{index}", graph.name, batch_size)
-            sim.process(_track(job))
-
-    def _track(job):
-        done = server.submit(job)
-        yield done
-        latencies.append(job.latency)
-
-    sim.process(request_stream(), name="open-loop-arrivals")
+    stats = drive(sim, server, _poisson_requests(
+        rng, arrival_rate, num_requests, graph.name, batch_size
+    ))
     sim.run()
-    if len(latencies) != num_requests:
+    if stats.completed != num_requests:
         raise RuntimeError(
-            f"open-loop run lost requests: {len(latencies)}/{num_requests}"
+            f"open-loop run lost requests: {stats.completed}/{num_requests}"
         )
-    return latencies
+    return stats.latencies
 
 
 def latency_predictability(
@@ -384,8 +391,9 @@ def slo_attainment(
     slo_multiplier: float = 5.0,
 ) -> SloResult:
     """Open-loop overload: TF-Serving and Olympian without admission
-    control versus Olympian + SLO admission (repro.slo)."""
-    from ..slo import FairShareEstimator, SloAdmissionController
+    control versus Olympian + SLO admission (the gate with a
+    :class:`~repro.slo.FairShareEstimator`)."""
+    from ..slo import FairShareEstimator
 
     graph = get_graph(INCEPTION_V4.name, scale, 1)
     config = ExperimentConfig(scale=scale, seed=seed, quantum=quantum)
@@ -413,40 +421,32 @@ def slo_attainment(
             scheduler=scheduler,
         )
         server.load_model(graph)
-        controller = None
+        gate = None
         if system == "fair+admission":
-            estimator = FairShareEstimator(
-                output.store, overhead=0.05, host_fraction=0.2
-            )
-            controller = SloAdmissionController(server, estimator)
-        rng = random.Random(derive_seed(seed, f"slo-arrivals"))
-        outcomes: List[bool] = []
-        rejected_count = [0]
-
-        def track(job, admitted_at, done):
-            yield done
-            outcomes.append(job.finished_at - admitted_at <= slo)
-
-        def arrivals():
-            for index in range(num_requests):
-                yield sim.timeout(rng.expovariate(arrival_rate))
-                job = server.make_job(f"r{index}", graph.name, batch_size)
-                if controller is not None:
-                    done = controller.try_submit(job, slo=slo)
-                    if done is None:
-                        rejected_count[0] += 1
-                        continue
-                else:
-                    done = server.submit(job)
-                sim.process(track(job, sim.now, done))
-
-        sim.process(arrivals(), name="slo-arrivals")
+            # Pure SLO admission: a ceiling no load can reach, so the
+            # estimator's slo-hopeless check is the only refusal.
+            gate = AdmissionGate(
+                AdmissionConfig(
+                    max_active=num_requests, headroom=1.0, defer=False
+                ),
+                estimator=FairShareEstimator(
+                    output.store, overhead=0.05, host_fraction=0.2
+                ),
+            ).attach(server)
+        rng = random.Random(derive_seed(seed, "slo-arrivals"))
+        stats = drive(
+            sim, server,
+            _poisson_requests(rng, arrival_rate, num_requests, graph.name,
+                              batch_size, slo),
+            gate=gate,
+        )
         sim.run()
+        outcomes = [latency <= slo for latency in stats.latencies]
         completed = len(outcomes)
         met = sum(outcomes)
         attainment[system] = met / completed if completed else 0.0
         goodput[system] = met
-        rejected[system] = rejected_count[0]
+        rejected[system] = stats.rejected
 
     return SloResult(
         slo=slo,

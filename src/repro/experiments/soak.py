@@ -109,8 +109,9 @@ class SoakConfig:
     max_failovers: int = 16
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
+        # Traffic fields are validated once, by TrafficConfig, so a bad
+        # rate or duration fails here rather than mid-soak.
+        self.traffic_config()
         if self.gpus < 1:
             raise ValueError(f"gpus must be >= 1: {self.gpus}")
         for t in self.kills:
@@ -430,7 +431,7 @@ def _run_one(config: SoakConfig, kind: str) -> SoakRun:
             journal_outcome(arrival.request_id, outcome, status)
 
         drive(
-            sim, front, engine,
+            sim, front, engine.arrivals(),
             gate=gate, stats=stats,
             offset=offset, skip=store.admitted_ids(),
             on_admitted=on_admitted, on_outcome=on_outcome,

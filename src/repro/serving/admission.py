@@ -32,11 +32,15 @@ exactly like telemetry and recovery).
 
 Layering: the gate sits *above* :class:`repro.recovery`'s brownout —
 it folds the brownout ceiling into its own, so a gated submit never
-reaches the recovery layer's shedding path — and *beside*
-:mod:`repro.slo` admission: pass any object with
+reaches the recovery layer's shedding path.  It is also the repo's
+only SLO admission check: pass any object with
 ``estimate_for(server, model, batch)`` (e.g. a
 :class:`~repro.slo.estimator.FairShareEstimator`) to get predictive
-SLO-hopeless rejection on top of the load thresholds.
+SLO-hopeless rejection on top of the load thresholds.  For SLO-only
+admission, make the load thresholds unreachable —
+``AdmissionConfig(max_active=<offered requests>, headroom=1.0,
+defer=False)`` — so ``slo-hopeless`` is the only refusal (this is how
+``ext-slo``'s ``fair+admission`` system is built).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..gpu.memory import GpuOutOfMemory
+from ..workloads.traffic import check_finite
 from .request import Job
 
 __all__ = ["AdmissionConfig", "Decision", "AdmissionGate"]
@@ -113,12 +118,11 @@ class Decision:
 class _Deferred:
     """One parked request (per-tenant priority queue entry)."""
 
-    __slots__ = ("job", "tenant", "slo", "order", "outer")
+    __slots__ = ("job", "tenant", "order", "outer")
 
-    def __init__(self, job: Job, tenant: str, slo, order: int, outer):
+    def __init__(self, job: Job, tenant: str, order: int, outer):
         self.job = job
         self.tenant = tenant
-        self.slo = slo
         self.order = order
         self.outer = outer
 
@@ -247,7 +251,13 @@ class AdmissionGate:
         tenant: str = "default",
         slo: Optional[float] = None,
     ) -> Decision:
-        """Decide, act, and return the typed outcome for ``job``."""
+        """Decide, act, and return the typed outcome for ``job``.
+
+        Raises :class:`ValueError` for an ``slo`` that is not finite
+        and > 0 — a caller bug, not a load condition to decide on.
+        """
+        if slo is not None:
+            check_finite("SLO", slo, 0.0)
         config = self.config
 
         remaining = self._breaker_block(job.model_name)
@@ -294,7 +304,7 @@ class AdmissionGate:
             if len(queue) >= config.max_pending_per_tenant:
                 return self._reject(job, tenant, "tenant-limit",
                                     config.retry_after)
-            return self._defer(job, tenant, slo)
+            return self._defer(job, tenant)
         return self._reject(job, tenant, "overloaded", config.retry_after)
 
     # ------------------------------------------------------------------
@@ -332,11 +342,9 @@ class AdmissionGate:
                      original_batch=job.batch_size, batch=reduced)
         return Decision("degrade", "soft-band", clone, done, tenant)
 
-    def _defer(
-        self, job: Job, tenant: str, slo: Optional[float]
-    ) -> Decision:
+    def _defer(self, job: Job, tenant: str) -> Decision:
         outer = self.sim.event()
-        entry = _Deferred(job, tenant, slo, self._order, outer)
+        entry = _Deferred(job, tenant, self._order, outer)
         self._order += 1
         self._queues.setdefault(tenant, []).append(entry)
         self._pending_total += 1

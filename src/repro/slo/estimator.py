@@ -9,8 +9,9 @@ offline profile — which is what makes admission control possible at
 all.  No such estimate exists for stock TF-Serving, whose driver
 arbitration is arbitrary.
 
-:class:`FairShareEstimator` implements the bound used by the admission
-controller: a job needing ``D`` seconds of GPU, admitted alongside
+:class:`FairShareEstimator` implements the bound the admission gate
+(:class:`~repro.serving.admission.AdmissionGate`) checks SLOs
+against: a job needing ``D`` seconds of GPU, admitted alongside
 ``N`` active jobs, finishes within ``D * (N + 1) * (1 + overhead)``
 plus its host-side tail — an upper bound, since competitors that finish
 early only speed things up.

@@ -7,12 +7,14 @@ lists as future work ("more realistic and dynamic workloads", §7.2).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from typing import List, Sequence
 
 from ..sim.rng import derive_seed
 from .scenarios import ClientSpec
+from .traffic import check_finite, poisson_times
 
 __all__ = ["simultaneous", "staggered", "poisson_arrivals", "bursty_think_times"]
 
@@ -35,15 +37,10 @@ def poisson_arrivals(
     specs: Sequence[ClientSpec], rate: float, seed: int = 0
 ) -> List[ClientSpec]:
     """Clients arrive as a Poisson process with ``rate`` per second."""
-    if rate <= 0:
-        raise ValueError(f"rate must be positive: {rate}")
+    check_finite("rate", rate, 0.0)
     rng = random.Random(derive_seed(seed, "poisson-arrivals"))
-    out: List[ClientSpec] = []
-    t = 0.0
-    for spec in specs:
-        t += rng.expovariate(rate)
-        out.append(replace(spec, start_delay=t))
-    return out
+    times = poisson_times(rng, rate, math.inf)
+    return [replace(spec, start_delay=t) for spec, t in zip(specs, times)]
 
 
 def bursty_think_times(

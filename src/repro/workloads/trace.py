@@ -1,4 +1,4 @@
-"""Trace-driven workloads: record, generate, and replay request traces.
+"""Trace-driven workloads: record, generate, and serve request traces.
 
 Production serving systems are driven by request logs, not by closed
 loops of synthetic clients.  This module gives the reproduction that
@@ -11,22 +11,30 @@ workloads"):
 * Generators for the standard shapes: steady Poisson, diurnal
   (sinusoidal rate), and bursty on/off (a two-state MMPP) — the
   "intermittent and bursty GPU usage" the paper's introduction
-  motivates multiplexing with.
-* :func:`replay` — drive any server with a trace and collect per-request
-  outcomes.
+  motivates multiplexing with.  The arrival instants come from the
+  time processes in :mod:`repro.workloads.traffic`; this module only
+  wraps them as :class:`TraceRequest` records.
+* :func:`as_arrivals` — view a trace as :class:`~repro.workloads.traffic.Arrival`
+  records, so :func:`~repro.workloads.traffic.drive` (the one
+  open-loop driver) serves it like any other stream.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
-from ..sim.core import Simulator
 from ..sim.rng import derive_seed
+from .traffic import (
+    Arrival,
+    bursty_times,
+    check_finite,
+    diurnal_times,
+    poisson_times,
+)
 
 __all__ = [
     "TraceRequest",
@@ -37,8 +45,7 @@ __all__ = [
     "poisson_trace",
     "diurnal_trace",
     "bursty_trace",
-    "replay",
-    "ReplayOutcome",
+    "as_arrivals",
 ]
 
 _PathLike = Union[str, Path]
@@ -54,12 +61,11 @@ class TraceRequest:
     slo: Optional[float] = None
 
     def __post_init__(self):
-        if self.arrival < 0:
-            raise ValueError(f"negative arrival time: {self.arrival}")
+        check_finite("arrival time", self.arrival, 0.0, inclusive=True)
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1: {self.batch_size}")
-        if self.slo is not None and self.slo <= 0:
-            raise ValueError(f"SLO must be positive: {self.slo}")
+        if self.slo is not None:
+            check_finite("SLO", self.slo, 0.0)
 
 
 @dataclass
@@ -139,13 +145,11 @@ class RequestTrace:
 # Generators
 # ----------------------------------------------------------------------
 #
-# Each shape comes as a lazy iterator (``iter_*``) plus an eager
-# wrapper returning a :class:`RequestTrace`.  The iterators hold O(1)
-# state — one RNG, one clock — so arbitrarily long arrival streams can
-# be consumed without materialising them (the open-loop traffic engine
-# and the soak harness both stream from these).  The wrappers draw in
-# exactly the same order, so traces are bit-identical to the historical
-# eager builders.
+# Each shape comes as a lazy iterator (``iter_*``: validates its
+# arguments when called, then streams one of the
+# :mod:`repro.workloads.traffic` time processes in O(1) memory) plus an
+# eager wrapper returning a :class:`RequestTrace`, drawn in the same
+# order, so traces are bit-identical to the historical builders.
 
 
 def iter_poisson(
@@ -157,15 +161,11 @@ def iter_poisson(
     slo: Optional[float] = None,
 ) -> Iterator[TraceRequest]:
     """Lazily yield steady Poisson arrivals at ``rate``/s."""
-    if rate <= 0 or duration <= 0:
-        raise ValueError("rate and duration must be positive")
+    check_finite("rate", rate, 0.0)
+    check_finite("duration", duration, 0.0)
     rng = random.Random(derive_seed(seed, "trace:poisson"))
-    t = 0.0
-    while True:
-        t += rng.expovariate(rate)
-        if t > duration:
-            return
-        yield TraceRequest(t, model, batch_size, slo)
+    times = poisson_times(rng, rate, duration)
+    return (TraceRequest(t, model, batch_size, slo) for t in times)
 
 
 def poisson_trace(
@@ -193,21 +193,15 @@ def iter_diurnal(
     slo: Optional[float] = None,
 ) -> Iterator[TraceRequest]:
     """Lazily yield sinusoidally modulated arrivals (thinned Poisson)."""
-    if not 0 < base_rate <= peak_rate:
-        raise ValueError("need 0 < base_rate <= peak_rate")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    check_finite("base_rate", base_rate, 0.0)
+    check_finite("peak_rate", peak_rate, base_rate, inclusive=True)
+    check_finite("duration", duration, 0.0)
+    if period is not None:
+        check_finite("period", period, 0.0)
     period = period if period is not None else duration
     rng = random.Random(derive_seed(seed, "trace:diurnal"))
-    t = 0.0
-    while True:
-        t += rng.expovariate(peak_rate)
-        if t > duration:
-            return
-        phase = math.sin(2 * math.pi * t / period - math.pi / 2)  # trough first
-        rate = base_rate + (peak_rate - base_rate) * (phase + 1) / 2
-        if rng.random() <= rate / peak_rate:
-            yield TraceRequest(t, model, batch_size, slo)
+    times = diurnal_times(rng, base_rate, peak_rate, period, duration)
+    return (TraceRequest(t, model, batch_size, slo) for t in times)
 
 
 def diurnal_trace(
@@ -248,26 +242,15 @@ def iter_bursty(
     slo: Optional[float] = None,
 ) -> Iterator[TraceRequest]:
     """Lazily yield two-state on/off (MMPP-2) arrivals."""
-    if burst_rate <= 0 or idle_rate < 0:
-        raise ValueError("rates must be positive (idle may be 0)")
-    if mean_burst <= 0 or mean_idle <= 0 or duration <= 0:
-        raise ValueError("durations must be positive")
+    check_finite("burst_rate", burst_rate, 0.0)
+    check_finite("idle_rate", idle_rate, 0.0, inclusive=True)
+    check_finite("mean_burst", mean_burst, 0.0)
+    check_finite("mean_idle", mean_idle, 0.0)
+    check_finite("duration", duration, 0.0)
     rng = random.Random(derive_seed(seed, "trace:bursty"))
-    t = 0.0
-    bursting = True
-    phase_end = rng.expovariate(1.0 / mean_burst)
-    while t < duration:
-        rate = burst_rate if bursting else idle_rate
-        if rate <= 0:
-            t = phase_end
-        else:
-            t += rng.expovariate(rate)
-            if t <= min(phase_end, duration):
-                yield TraceRequest(t, model, batch_size, slo)
-        if t >= phase_end:
-            bursting = not bursting
-            mean = mean_burst if bursting else mean_idle
-            phase_end = t + rng.expovariate(1.0 / mean)
+    times = bursty_times(rng, burst_rate, idle_rate, mean_burst, mean_idle,
+                         duration)
+    return (TraceRequest(t, model, batch_size, slo) for t in times)
 
 
 def bursty_trace(
@@ -295,77 +278,26 @@ def bursty_trace(
 
 
 # ----------------------------------------------------------------------
-# Replay
+# Serving a trace
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ReplayOutcome:
-    """Per-request results of one trace replay."""
+def as_arrivals(requests: Iterable[TraceRequest]) -> Iterator[Arrival]:
+    """View ``requests`` as :class:`~repro.workloads.traffic.Arrival`
+    records for :func:`~repro.workloads.traffic.drive`.
 
-    latencies: List[float]
-    slo_hits: int
-    slo_misses: int
-    rejected: int
-
-    @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    def slo_attainment(self) -> float:
-        total = self.slo_hits + self.slo_misses
-        if total == 0:
-            raise ValueError("trace carried no SLOs")
-        return self.slo_hits / total
-
-
-def replay(
-    sim: Simulator,
-    server,
-    trace: Iterable[TraceRequest],
-    admission_controller=None,
-) -> ReplayOutcome:
-    """Replay ``trace`` against ``server``; returns the outcome.
-
-    ``server`` is anything with ``make_job``/``submit`` (a
-    :class:`~repro.serving.server.ModelServer` or a
-    :class:`~repro.cluster.server.MultiGpuServer`).  ``trace`` is a
-    :class:`RequestTrace` or any (possibly lazy) iterable of
-    time-ordered :class:`TraceRequest` — the driver pulls requests one
-    at a time, so an ``iter_*`` generator streams without ever being
-    materialised.  With an ``admission_controller`` (:mod:`repro.slo`),
-    requests carrying an SLO go through admission.  The caller runs
-    ``sim.run()`` afterwards.
+    Request ``i`` arrives as client ``trace{i}`` of tenant
+    ``"default"`` and keeps its SLO (``drive`` turns it into the job's
+    deadline and hands it to an admission gate).  Lazy: a streaming
+    ``iter_*`` generator is consumed one request at a time.
     """
-    outcome = ReplayOutcome(latencies=[], slo_hits=0, slo_misses=0, rejected=0)
-
-    def track(request, job, done):
-        submitted = sim.now
-        yield done
-        latency = job.finished_at - submitted
-        outcome.latencies.append(latency)
-        if request.slo is not None:
-            if latency <= request.slo:
-                outcome.slo_hits += 1
-            else:
-                outcome.slo_misses += 1
-
-    def driver():
-        start = sim.now
-        for index, request in enumerate(trace):
-            delay = start + request.arrival - sim.now
-            if delay > 0:
-                yield sim.timeout(delay)
-            job = server.make_job(f"trace{index}", request.model,
-                                  request.batch_size)
-            if admission_controller is not None and request.slo is not None:
-                done = admission_controller.try_submit(job, slo=request.slo)
-                if done is None:
-                    outcome.rejected += 1
-                    continue
-            else:
-                done = server.submit(job)
-            sim.process(track(request, job, done))
-
-    sim.process(driver(), name="trace-replay")
-    return outcome
+    for index, request in enumerate(requests):
+        yield Arrival(
+            index=index,
+            time=request.arrival,
+            tenant="default",
+            user=f"trace{index}",
+            model=request.model,
+            batch_size=request.batch_size,
+            slo=request.slo,
+        )

@@ -7,9 +7,12 @@ coming whether or not the server keeps up, drawn from a population of
 millions of users spread over thousands of tenants.  This module
 models that population without ever materialising it:
 
-* Arrival **times** come from the same three processes as
-  :mod:`repro.workloads.trace` (steady Poisson, diurnal thinning,
-  bursty MMPP-2), generated lazily.
+* Arrival **times** come from three lazy processes — steady Poisson
+  (:func:`poisson_times`), diurnal thinning (:func:`diurnal_times`)
+  and bursty MMPP-2 (:func:`bursty_times`).  They are the repo's only
+  arrival-time library: :mod:`repro.workloads.trace` and
+  :func:`repro.workloads.generators.poisson_arrivals` draw from them
+  too, each under its own seed namespace.
 * **Who** arrives is drawn per event from heavy-tailed (Zipf-like)
   popularity over tenants and over each tenant's user space, via an
   O(1) inverse-CDF transform — no per-user or per-tenant state exists
@@ -24,10 +27,12 @@ determines the arrival stream: re-iterating regenerates byte-identical
 arrivals, which is what lets the durable control plane re-derive "the
 rest of the traffic" after a crash-restart instead of persisting it.
 
-:func:`drive` plugs the stream into any serving front (duck-typed like
-:func:`repro.workloads.trace.replay`), optionally through an admission
-gate, with callbacks for journaling — the seam the soak harness and
-``experiments`` runners build on.
+:func:`drive` is the one open-loop driver: it plugs any time-ordered
+iterable of :class:`Arrival` records (this engine's stream, or a
+request trace through :func:`repro.workloads.trace.as_arrivals`) into
+any serving front, optionally through an admission gate, with
+callbacks for journaling — the seam the soak harness, the trace
+benchmarks and the ``experiments`` open-loop runs build on.
 """
 
 from __future__ import annotations
@@ -35,12 +40,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.core import Simulator
 from ..sim.rng import derive_seed
 
 __all__ = [
+    "check_finite",
+    "poisson_times",
+    "diurnal_times",
+    "bursty_times",
     "ModelMix",
     "TrafficConfig",
     "Arrival",
@@ -50,6 +59,84 @@ __all__ = [
 ]
 
 TRAFFIC_PROCESSES = ("poisson", "diurnal", "bursty")
+
+
+def check_finite(
+    name: str, value: float, low: float = -math.inf, inclusive: bool = False
+) -> None:
+    """Raise :class:`ValueError` unless ``value`` is finite and ``> low``
+    (``>= low`` with ``inclusive``).  A positive test, so NaN fails it."""
+    if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
+        op = ">=" if inclusive else ">"
+        raise ValueError(f"{name} must be finite and {op} {low}: {value!r}")
+
+
+# ----------------------------------------------------------------------
+# Arrival-time processes: lazy, O(1) state, one caller-owned RNG each.
+# A stream stops at the first instant past ``horizon`` (``math.inf``:
+# endless).  Callers validate the parameters.  The draw order is part
+# of every seeded stream's identity.
+# ----------------------------------------------------------------------
+
+
+def poisson_times(
+    rng: random.Random, rate: float, horizon: float
+) -> Iterator[float]:
+    """Steady Poisson arrival instants at ``rate`` per second."""
+    t = 0.0
+    while True:
+        t += rng.expovariate(rate)
+        if t > horizon:
+            return
+        yield t
+
+
+def diurnal_times(
+    rng: random.Random,
+    base: float,
+    peak: float,
+    period: float,
+    horizon: float,
+) -> Iterator[float]:
+    """Sinusoidal rate between ``base`` and ``peak`` over ``period``
+    (trough first), by thinning a Poisson process at ``peak``."""
+    t = 0.0
+    while True:
+        t += rng.expovariate(peak)
+        if t > horizon:
+            return
+        phase = math.sin(2 * math.pi * t / period - math.pi / 2)
+        rate = base + (peak - base) * (phase + 1) / 2
+        if rng.random() <= rate / peak:
+            yield t
+
+
+def bursty_times(
+    rng: random.Random,
+    burst: float,
+    idle: float,
+    mean_burst: float,
+    mean_idle: float,
+    horizon: float,
+) -> Iterator[float]:
+    """Two-state on/off (MMPP-2) arrivals: ``burst``/s bursts lasting
+    ``mean_burst`` on average, ``idle``/s lulls (0 allowed) lasting
+    ``mean_idle``."""
+    t = 0.0
+    bursting = True
+    phase_end = rng.expovariate(1.0 / mean_burst)
+    while t < horizon:
+        rate = burst if bursting else idle
+        if rate <= 0:
+            t = phase_end
+        else:
+            t += rng.expovariate(rate)
+            if t <= min(phase_end, horizon):
+                yield t
+        if t >= phase_end:
+            bursting = not bursting
+            mean = mean_burst if bursting else mean_idle
+            phase_end = t + rng.expovariate(1.0 / mean)
 
 
 @dataclass(frozen=True)
@@ -65,10 +152,9 @@ class ModelMix:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1: {self.batch_size}")
-        if self.weight <= 0:
-            raise ValueError(f"mix weight must be positive: {self.weight}")
-        if self.slo is not None and self.slo <= 0:
-            raise ValueError(f"SLO must be positive: {self.slo}")
+        check_finite("mix weight", self.weight, 0.0)
+        if self.slo is not None:
+            check_finite("SLO", self.slo, 0.0)
 
 
 @dataclass(frozen=True)
@@ -113,16 +199,19 @@ class TrafficConfig:
             raise ValueError("users and tenants must be >= 1")
         if self.tenants > self.users:
             raise ValueError("more tenants than users")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive: {self.rate}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
         if self.process not in TRAFFIC_PROCESSES:
             raise ValueError(
                 f"process must be one of {TRAFFIC_PROCESSES}: {self.process!r}"
             )
-        if self.peak_ratio < 1.0 or self.burst_ratio <= 0:
-            raise ValueError("peak_ratio must be >= 1, burst_ratio > 0")
+        for name in ("rate", "burst_ratio", "mean_burst", "mean_idle"):
+            check_finite(name, getattr(self, name), 0.0)
+        for name in ("duration", "period"):
+            if getattr(self, name) is not None:
+                check_finite(name, getattr(self, name), 0.0)
+        check_finite("peak_ratio", self.peak_ratio, 1.0, inclusive=True)
+        check_finite("idle_ratio", self.idle_ratio, 0.0, inclusive=True)
+        check_finite("user_skew", self.user_skew)
+        check_finite("tenant_skew", self.tenant_skew)
 
 
 @dataclass(frozen=True)
@@ -200,46 +289,24 @@ class TrafficEngine:
         )
         duration = config.duration
         horizon = math.inf if duration is None else duration
-        t = 0.0
         if config.process == "poisson":
-            while True:
-                t += rng.expovariate(config.rate)
-                if t > horizon:
-                    return
-                yield t
-        elif config.process == "diurnal":
-            base = config.rate
-            peak = config.rate * config.peak_ratio
+            return poisson_times(rng, config.rate, horizon)
+        if config.process == "diurnal":
             period = config.period
             if period is None:
                 period = duration if duration is not None else 1.0
-            while True:
-                t += rng.expovariate(peak)
-                if t > horizon:
-                    return
-                phase = math.sin(2 * math.pi * t / period - math.pi / 2)
-                rate = base + (peak - base) * (phase + 1) / 2
-                if rng.random() <= rate / peak:
-                    yield t
-        else:  # bursty (MMPP-2)
-            burst = config.rate * config.burst_ratio
-            idle = config.rate * config.idle_ratio
-            bursting = True
-            phase_end = rng.expovariate(1.0 / config.mean_burst)
-            while t < horizon:
-                rate = burst if bursting else idle
-                if rate <= 0:
-                    t = phase_end
-                else:
-                    t += rng.expovariate(rate)
-                    if t <= min(phase_end, horizon):
-                        yield t
-                if t >= phase_end:
-                    bursting = not bursting
-                    mean = (
-                        config.mean_burst if bursting else config.mean_idle
-                    )
-                    phase_end = t + rng.expovariate(1.0 / mean)
+            return diurnal_times(
+                rng, config.rate, config.rate * config.peak_ratio, period,
+                horizon,
+            )
+        return bursty_times(
+            rng,
+            config.rate * config.burst_ratio,
+            config.rate * config.idle_ratio,
+            config.mean_burst,
+            config.mean_idle,
+            horizon,
+        )
 
     def arrivals(self, limit: Optional[int] = None) -> Iterator[Arrival]:
         """Lazily yield :class:`Arrival` records in time order.
@@ -311,18 +378,23 @@ class TrafficStats:
 def drive(
     sim: Simulator,
     server: Any,
-    engine: TrafficEngine,
+    arrivals: Iterable[Arrival],
     gate: Any = None,
     stats: Optional[TrafficStats] = None,
     offset: float = 0.0,
     skip: Any = (),
-    limit: Optional[int] = None,
     on_admitted: Optional[Callable[[Arrival, Any], None]] = None,
     on_outcome: Optional[Callable[[Arrival, Any, str], None]] = None,
 ) -> TrafficStats:
-    """Stream ``engine``'s arrivals into ``server`` as an open loop.
+    """Stream ``arrivals`` into ``server`` as an open loop.
 
-    ``gate`` is an optional admission gate (anything with
+    ``arrivals`` is any time-ordered iterable of :class:`Arrival`
+    records — :meth:`TrafficEngine.arrivals` or a request trace via
+    :func:`repro.workloads.trace.as_arrivals` — pulled one at a time,
+    so a lazy stream is never materialised.  ``server`` is anything
+    with ``make_job``/``submit`` (a
+    :class:`~repro.serving.server.ModelServer` or a
+    :class:`~repro.cluster.server.MultiGpuServer`).  ``gate`` is an optional admission gate (anything with
     ``submit(job, tenant=..., slo=...) -> decision`` returning an
     object with ``action``/``reason``/``job``/``done``); without one,
     jobs go straight to ``server.submit``.  ``offset`` shifts the
@@ -354,7 +426,7 @@ def drive(
             on_outcome(arrival, job, "completed")
 
     def pump():
-        for arrival in engine.arrivals(limit=limit):
+        for arrival in arrivals:
             if arrival.time < offset or arrival.request_id in skip_ids:
                 continue
             delay = (arrival.time - offset) - sim.now
@@ -372,27 +444,24 @@ def drive(
                 job.deadline = sim.now + arrival.slo
             if gate is None:
                 done = server.submit(job)
-                stats.submitted += 1
-                if on_admitted is not None:
-                    on_admitted(arrival, job)
-                sim.process(track(arrival, job, done))
-                continue
-            decision = gate.submit(
-                job, tenant=arrival.tenant, slo=arrival.slo
-            )
-            if decision.action == "reject":
-                stats.note_reject(decision.reason)
-                if on_outcome is not None:
-                    on_outcome(arrival, job, f"rejected:{decision.reason}")
-                continue
-            if decision.action == "defer":
-                stats.deferred += 1
-            elif decision.action == "degrade":
-                stats.degraded += 1
+            else:
+                decision = gate.submit(
+                    job, tenant=arrival.tenant, slo=arrival.slo
+                )
+                if decision.action == "reject":
+                    stats.note_reject(decision.reason)
+                    if on_outcome is not None:
+                        on_outcome(arrival, job, f"rejected:{decision.reason}")
+                    continue
+                if decision.action == "defer":
+                    stats.deferred += 1
+                elif decision.action == "degrade":
+                    stats.degraded += 1
+                job, done = decision.job, decision.done
             stats.submitted += 1
             if on_admitted is not None:
-                on_admitted(arrival, decision.job)
-            sim.process(track(arrival, decision.job, decision.done))
+                on_admitted(arrival, job)
+            sim.process(track(arrival, job, done))
 
     sim.process(pump(), name="traffic-pump")
     return stats

@@ -1,4 +1,4 @@
-"""Integration: trace replay against a multi-GPU cluster."""
+"""Integration: serving a request trace on a multi-GPU cluster."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.core import (
 from repro.graph import CostModel
 from repro.serving import ServerConfig
 from repro.sim import Simulator
-from repro.workloads import poisson_trace, replay
+from repro.workloads import as_arrivals, drive, poisson_trace
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestClusterTraceReplay:
         trace = poisson_trace(
             rate, profile.gpu_duration * 30, tiny_graph.name, 100, seed=11
         )
-        outcome = replay(sim, cluster, trace)
+        outcome = drive(sim, cluster, as_arrivals(trace))
         sim.run()
         assert outcome.completed == len(trace)
         counts = cluster.routing_counts()
@@ -78,12 +78,12 @@ class TestClusterTraceReplay:
                 scheduler=scheduler,
             )
             server.load_model(tiny_graph)
-            outcome = replay(sim, server, trace)
+            outcome = drive(sim, server, as_arrivals(trace))
             sim.run()
             return sum(outcome.latencies) / len(outcome.latencies)
 
         sim, cluster, _ = cluster_stack
-        outcome = replay(sim, cluster, trace)
+        outcome = drive(sim, cluster, as_arrivals(trace))
         sim.run()
         cluster_mean = sum(outcome.latencies) / len(outcome.latencies)
         assert cluster_mean < 0.8 * mean_latency_single()

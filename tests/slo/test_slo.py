@@ -1,4 +1,4 @@
-"""Tests for the SLO estimator and admission controller."""
+"""Tests for the SLO estimator and SLO admission through the gate."""
 
 import pytest
 
@@ -9,9 +9,9 @@ from repro.core import (
     ProfileStore,
 )
 from repro.graph import CostModel
-from repro.serving import ModelServer, ServerConfig
+from repro.serving import AdmissionConfig, AdmissionGate, ModelServer, ServerConfig
 from repro.sim import Simulator
-from repro.slo import FairShareEstimator, JobRejected, SloAdmissionController
+from repro.slo import FairShareEstimator
 
 
 @pytest.fixture
@@ -30,8 +30,12 @@ def stack(tiny_graph):
     server.load_model(tiny_graph)
     # overhead matches the Overhead-Q curve at the operating Q=0.5ms
     estimator = FairShareEstimator(store, overhead=0.10, host_fraction=0.20)
-    controller = SloAdmissionController(server, estimator)
-    return sim, server, controller, estimator, profile
+    # SLO-only admission: load thresholds no test here can reach.
+    gate = AdmissionGate(
+        AdmissionConfig(max_active=64, headroom=1.0, defer=False),
+        estimator=estimator,
+    ).attach(server)
+    return sim, server, gate, estimator, profile
 
 
 class TestEstimator:
@@ -79,74 +83,61 @@ class TestEstimator:
 
 class TestAdmission:
     def test_admits_when_slo_attainable(self, stack, tiny_graph):
-        sim, server, controller, _, profile = stack
+        sim, server, gate, _, profile = stack
+        slo = profile.gpu_duration * 3
         job = server.make_job("c", tiny_graph.name, 100)
-        done = controller.try_submit(job, slo=profile.gpu_duration * 3)
-        assert done is not None
+        decision = gate.submit(job, slo=slo)
+        assert (decision.action, decision.reason) == ("admit", "headroom-ok")
+        assert decision.done is not None
         sim.run()
-        assert controller.attainment() == 1.0
-        assert controller.goodput() == 1
+        assert job.latency <= slo
 
     def test_rejects_hopeless_slo(self, stack, tiny_graph):
-        _, server, controller, _, profile = stack
+        _, server, gate, _, profile = stack
         job = server.make_job("c", tiny_graph.name, 100)
-        done = controller.try_submit(job, slo=profile.gpu_duration / 100)
-        assert done is None
-        assert controller.rejected_count == 1
-        assert controller.admitted_count == 0
-
-    def test_submit_raises_on_rejection(self, stack, tiny_graph):
-        _, server, controller, _, profile = stack
-        job = server.make_job("c", tiny_graph.name, 100)
-        with pytest.raises(JobRejected):
-            controller.submit(job, slo=profile.gpu_duration / 100)
+        decision = gate.submit(job, slo=profile.gpu_duration / 100)
+        assert (decision.action, decision.reason) == ("reject", "slo-hopeless")
+        assert decision.done is None
+        assert gate.rejected == 1
+        assert gate.admitted == 0
 
     def test_load_dependent_rejection(self, stack, tiny_graph):
         """An SLO attainable when idle is rejected under load."""
-        sim, server, controller, _, profile = stack
+        sim, server, gate, _, profile = stack
         slo = profile.gpu_duration * 2.1
         first = server.make_job("a", tiny_graph.name, 100)
-        assert controller.try_submit(first, slo=slo) is not None
+        assert gate.submit(first, slo=slo).action == "admit"
         # Second arrival while the first is active: share halves.
         second = server.make_job("b", tiny_graph.name, 100)
-        assert controller.try_submit(second, slo=slo) is None
+        assert gate.submit(second, slo=slo).action == "reject"
         sim.run()
-        assert controller.attainment() == 1.0
-
-    def test_decisions_logged(self, stack, tiny_graph):
-        sim, server, controller, _, profile = stack
-        job = server.make_job("c", tiny_graph.name, 100)
-        controller.try_submit(job, slo=profile.gpu_duration * 3)
-        decision = controller.decisions[0]
-        assert decision.admitted
-        assert decision.job_id == job.job_id
-        assert decision.estimate > 0
-        sim.run()
+        assert first.latency <= slo
 
     def test_slo_validation(self, stack, tiny_graph):
-        _, server, controller, _, _ = stack
-        job = server.make_job("c", tiny_graph.name, 100)
-        with pytest.raises(ValueError):
-            controller.try_submit(job, slo=0.0)
-
-    def test_attainment_requires_finished_jobs(self, stack, tiny_graph):
-        _, _, controller, _, _ = stack
-        with pytest.raises(ValueError):
-            controller.attainment()
+        """The boundary check: an SLO must be finite and > 0 (NaN too)."""
+        _, server, gate, _, _ = stack
+        for slo in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            job = server.make_job("c", tiny_graph.name, 100)
+            with pytest.raises(ValueError, match="SLO"):
+                gate.submit(job, slo=slo)
+        assert gate.decisions == {}
+        assert server.active_jobs == 0
 
     def test_admitted_jobs_meet_slo_under_sustained_load(self, stack, tiny_graph):
-        """The controller's promise: whatever it admits, it delivers."""
-        sim, server, controller, _, profile = stack
+        """The estimator's promise: whatever the gate admits, it delivers."""
+        sim, server, gate, _, profile = stack
         slo = profile.gpu_duration * 4
+        admitted = []
 
         def arrivals():
             for i in range(12):
                 job = server.make_job(f"r{i}", tiny_graph.name, 100)
-                controller.try_submit(job, slo=slo)
+                if gate.submit(job, slo=slo).action == "admit":
+                    admitted.append(job)
                 yield sim.timeout(profile.gpu_duration / 2)
 
         sim.process(arrivals())
         sim.run()
-        assert controller.admitted_count >= 3
-        assert controller.rejected_count >= 1
-        assert controller.attainment() == 1.0
+        assert gate.admitted >= 3
+        assert gate.rejected >= 1
+        assert all(job.latency <= slo for job in admitted)

@@ -1,4 +1,4 @@
-"""Tests for trace-driven workloads: generation, persistence, replay."""
+"""Tests for trace-driven workloads: generation, persistence, serving."""
 
 import pytest
 
@@ -9,19 +9,20 @@ from repro.core import (
     ProfileStore,
 )
 from repro.graph import CostModel
-from repro.serving import ModelServer, ServerConfig
+from repro.serving import AdmissionConfig, AdmissionGate, ModelServer, ServerConfig
 from repro.sim import Simulator
-from repro.slo import FairShareEstimator, SloAdmissionController
+from repro.slo import FairShareEstimator
 from repro.workloads import (
     RequestTrace,
     TraceRequest,
+    as_arrivals,
     bursty_trace,
     diurnal_trace,
+    drive,
     iter_bursty,
     iter_diurnal,
     iter_poisson,
     poisson_trace,
-    replay,
 )
 
 
@@ -118,7 +119,9 @@ class TestGenerators:
 
 
 class TestReplay:
-    def _stack(self, tiny_graph, with_admission=False):
+    """Traces are served by the one open-loop driver via ``as_arrivals``."""
+
+    def _stack(self, tiny_graph):
         sim = Simulator()
         costs = CostModel(noise=0.0).exact(tiny_graph, 100)
         profile = OlympianProfile.from_cost_profile(
@@ -131,53 +134,64 @@ class TestReplay:
             sim, ServerConfig(track_memory=False, seed=3), scheduler=scheduler
         )
         server.load_model(tiny_graph)
-        controller = None
-        if with_admission:
-            controller = SloAdmissionController(
-                server, FairShareEstimator(store, overhead=0.1)
-            )
-        return sim, server, controller, profile
+        return sim, server, store, profile
 
     def test_replay_completes_all_requests(self, tiny_graph):
         sim, server, _, _ = self._stack(tiny_graph)
         trace = poisson_trace(20.0, 1.0, tiny_graph.name, 100, seed=7)
-        outcome = replay(sim, server, trace)
+        stats = drive(sim, server, as_arrivals(trace))
         sim.run()
-        assert outcome.completed == len(trace)
-        assert all(latency > 0 for latency in outcome.latencies)
-        assert outcome.rejected == 0
+        assert stats.completed == len(trace)
+        assert all(latency > 0 for latency in stats.latencies)
+        assert stats.rejected == 0
 
     def test_replay_tracks_slos(self, tiny_graph):
         sim, server, _, profile = self._stack(tiny_graph)
         slo = profile.gpu_duration * 50  # generous
         trace = poisson_trace(5.0, 1.0, tiny_graph.name, 100, seed=8, slo=slo)
-        outcome = replay(sim, server, trace)
+        deadlines = []
+        stats = drive(
+            sim, server, as_arrivals(trace),
+            on_admitted=lambda arrival, job: deadlines.append(
+                (arrival.deadline, job.deadline)
+            ),
+        )
         sim.run()
-        assert outcome.slo_hits + outcome.slo_misses == len(trace)
-        assert outcome.slo_attainment() > 0.9
+        assert stats.completed == len(trace)
+        # The request's SLO becomes the job's deadline.
+        assert all(a == pytest.approx(j) for a, j in deadlines)
+        hits = sum(1 for latency in stats.latencies if latency <= slo)
+        assert hits / stats.completed > 0.9
 
     def test_replay_with_admission_rejects_overload(self, tiny_graph):
-        sim, server, controller, profile = self._stack(
-            tiny_graph, with_admission=True
-        )
+        sim, server, store, profile = self._stack(tiny_graph)
         # Overload: arrivals far faster than the device can serve.
         slo = profile.gpu_duration * 3
         rate = 5.0 / profile.gpu_duration
         trace = poisson_trace(rate, profile.gpu_duration * 20,
                               tiny_graph.name, 100, seed=9, slo=slo)
-        outcome = replay(sim, server, trace, admission_controller=controller)
+        gate = AdmissionGate(
+            AdmissionConfig(max_active=len(trace), headroom=1.0, defer=False),
+            estimator=FairShareEstimator(store, overhead=0.1),
+        ).attach(server)
+        stats = drive(sim, server, as_arrivals(trace), gate=gate)
         sim.run()
-        assert outcome.rejected > 0
-        assert outcome.completed + outcome.rejected == len(trace)
-        assert outcome.slo_attainment() == 1.0
+        assert stats.rejected > 0
+        assert stats.reject_reasons == {"slo-hopeless": stats.rejected}
+        assert stats.completed + stats.rejected == len(trace)
+        assert all(latency <= slo for latency in stats.latencies)
 
     def test_replay_without_slos_has_no_attainment(self, tiny_graph):
         sim, server, _, _ = self._stack(tiny_graph)
         trace = poisson_trace(10.0, 0.5, tiny_graph.name, 100, seed=10)
-        outcome = replay(sim, server, trace)
+        deadlines = []
+        stats = drive(
+            sim, server, as_arrivals(trace),
+            on_admitted=lambda _arrival, job: deadlines.append(job.deadline),
+        )
         sim.run()
-        with pytest.raises(ValueError):
-            outcome.slo_attainment()
+        assert stats.completed == len(trace)
+        assert deadlines == [None] * len(trace)
 
 
 class TestLazyIterators:
@@ -233,7 +247,7 @@ class TestLazyIterators:
         stack = TestReplay()
         sim, server, _, _ = stack._stack(tiny_graph)
         stream = iter_poisson(20.0, 1.0, tiny_graph.name, 100, seed=7)
-        outcome = replay(sim, server, stream)
+        outcome = drive(sim, server, as_arrivals(stream))
         sim.run()
         eager = poisson_trace(20.0, 1.0, tiny_graph.name, 100, seed=7)
         assert outcome.completed == len(eager)

@@ -181,7 +181,7 @@ class TestDrive:
         )
         outcomes = []
         stats = drive(
-            stack.sim, stack.server, engine,
+            stack.sim, stack.server, engine.arrivals(),
             on_outcome=lambda arrival, _job, status: outcomes.append(
                 (arrival.request_id, status)
             ),
@@ -212,7 +212,7 @@ class TestDrive:
         )
         served = []
         stats = drive(
-            stack.sim, stack.server, engine,
+            stack.sim, stack.server, engine.arrivals(),
             offset=cut, skip=handled,
             on_admitted=lambda arrival, _job: served.append(
                 arrival.request_id
