@@ -26,8 +26,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..cluster.placement import StickyClientPlacement
 from ..cluster.server import MultiGpuServer
-from ..core.policies import FairSharing
-from ..core.scheduler import OlympianScheduler
 from ..faults.plan import FaultPlan, FaultSpec
 from ..gpu.power import GTX_1080_TI_POWER, PowerModel, energy_joules
 from ..metrics import stats
@@ -48,7 +46,14 @@ from ..workloads.scenarios import homogeneous_workload, with_priorities, with_we
 from ..workloads.trace import TraceRequest, as_arrivals
 from ..workloads.traffic import Arrival, drive, poisson_times
 from ..zoo.catalog import INCEPTION_V4
-from .runner import DEFAULT_SCALE, ExperimentConfig, get_graph, get_profiler_output, run_workload
+from .runner import (
+    DEFAULT_SCALE,
+    ExperimentConfig,
+    _make_scheduler,
+    get_graph,
+    get_profiler_output,
+    run_workload,
+)
 
 __all__ = [
     "latency_predictability",
@@ -137,19 +142,15 @@ def _open_loop_run(
     graph = get_graph(INCEPTION_V4.name, scale, 1)
     config = ExperimentConfig(scale=scale, seed=seed, quantum=quantum)
     sim = Simulator()
+    output = None
     if scheduler_kind == "fair":
         output = get_profiler_output(
             [(INCEPTION_V4.name, batch_size)], config
         )
-        scheduler = OlympianScheduler(
-            sim, FairSharing(), quantum=output.quantum, profiles=output.store
-        )
-    else:
-        scheduler = None
     server = ModelServer(
         sim,
         ServerConfig(track_memory=False, seed=derive_seed(seed, scheduler_kind)),
-        scheduler=scheduler,
+        scheduler=_make_scheduler(scheduler_kind, sim, config, output),
     )
     server.load_model(graph)
     rng = random.Random(derive_seed(seed, f"arrivals:{scheduler_kind}"))
@@ -243,18 +244,13 @@ def multigpu_scaling(
     fairness: Dict[int, float] = {}
     for num_gpus in gpu_counts:
         sim = Simulator()
-
-        def factory(sim_, server):
-            return OlympianScheduler(
-                sim_, FairSharing(), quantum=output.quantum,
-                profiles=output.store,
-            )
-
         cluster = MultiGpuServer(
             sim,
             num_gpus,
             config=ServerConfig(track_memory=False, seed=seed),
-            scheduler_factory=factory,
+            scheduler_factory=lambda sim_, server: _make_scheduler(
+                "fair", sim_, config, output
+            ),
             placement=StickyClientPlacement(),
         )
         cluster.load_model(graph)
@@ -408,17 +404,11 @@ def slo_attainment(
 
     for system in ("tf-serving", "fair", "fair+admission"):
         sim = Simulator()
-        if system == "tf-serving":
-            scheduler = None
-        else:
-            scheduler = OlympianScheduler(
-                sim, FairSharing(), quantum=output.quantum,
-                profiles=output.store,
-            )
+        kind = "tf-serving" if system == "tf-serving" else "fair"
         server = ModelServer(
             sim,
             ServerConfig(track_memory=False, seed=derive_seed(seed, system)),
-            scheduler=scheduler,
+            scheduler=_make_scheduler(kind, sim, config, output),
         )
         server.load_model(graph)
         gate = None

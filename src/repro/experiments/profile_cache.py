@@ -102,8 +102,8 @@ def cache_key(
 ) -> str:
     """Content key for one profiler build (hex SHA-256).
 
-    Mirrors the in-process cache key in ``runner.get_profiler_output``
-    plus the GPU spec's full parameters and the code version.
+    Keys both this cache and the in-process one in
+    ``runner.get_profiler_output``.
     """
     spec = config.gpu_spec
     material = {

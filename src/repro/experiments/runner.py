@@ -1,17 +1,16 @@
 """The experiment runner: one harness for every table and figure.
 
-``run_workload`` materialises a workload (list of
-:class:`~repro.workloads.ClientSpec`) against a freshly built simulated
-serving stack under a chosen scheduler, runs it to completion, and
-returns an :class:`ExperimentResult` with accessors for every metric
-the paper reports.
+``build_stack`` assembles the simulated serving stack (one GPU or a
+multi-GPU front) under a chosen scheduler.  ``run_workload`` drives a
+workload (list of :class:`~repro.workloads.ClientSpec`) through such a
+stack to completion and returns it as an :class:`ExperimentResult`,
+with accessors for every metric the paper reports.
 
 Profiling is the expensive step (solo runs + Overhead-Q sweeps), so
-profiler outputs are cached per (models, scale, seeds, Q-grid,
-tolerance) within the process — all figures that share a workload share
-the profile, exactly as the real Olympian profiles once per model —
-and persistently on disk across processes (content-keyed, see
-:mod:`repro.experiments.profile_cache`).
+profiler outputs are cached within the process — all figures that share
+a workload share the profile, exactly as the real Olympian profiles
+once per model — and persistently on disk across processes, both under
+one content key (see :mod:`repro.experiments.profile_cache`).
 
 All experiments run at a configurable ``scale`` (see DESIGN.md): node
 counts and total work shrink proportionally, node durations and the
@@ -21,9 +20,10 @@ quantum stay realistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..cluster.server import MultiGpuServer
 from ..core.policies import FairSharing, PriorityScheduling, WeightedFairSharing
 from ..core.policies_ext import (
     DeficitRoundRobin,
@@ -105,7 +105,8 @@ ALL_SCHEDULER_KINDS = SCHEDULER_KINDS + SPATIAL_SCHEDULER_KINDS
 DEFAULT_RT_OVERSUBSCRIPTION = 1.5
 
 _graph_cache: Dict[Tuple[str, float, int], Graph] = {}
-_profile_cache: Dict[tuple, ProfilerOutput] = {}
+# Keyed like the on-disk cache (profile_cache.cache_key).
+_profile_cache: Dict[str, ProfilerOutput] = {}
 
 
 def clear_caches() -> None:
@@ -146,14 +147,6 @@ class ExperimentConfig:
     # Evict a token holder that makes no progress for this long
     # (simulated seconds); None disables the stall watchdog.
     stall_threshold: Optional[float] = None
-    # Runtime observability (repro.telemetry); None = off.  Purely
-    # observational: trace_digest is bit-identical either way (the
-    # telemetry property suite enforces this).
-    telemetry: Optional[TelemetryConfig] = None
-    # Failure recovery (repro.recovery); None = off.  With recovery off
-    # the submit path is byte-for-byte the pre-recovery one, so clean
-    # runs keep their digests.
-    recovery: Optional[RecoveryConfig] = None
     # Spatial sharing (docs/SPATIAL.md).  ``streams`` overrides the GPU
     # spec's compute-stream count (None keeps the spec's value, 1 by
     # default); ``oversubscription`` is the "spatial-rt" logical
@@ -206,25 +199,13 @@ def get_profiler_output(
     """
     if with_curves is None:
         with_curves = config.quantum is None
-    key = (
-        tuple(sorted(entries)),
-        config.scale,
-        config.graph_seed,
-        config.profile_seed,
-        config.quantum,
-        config.tolerance,
-        config.q_values if with_curves else None,
-        config.wake_latency,
-        config.curve_batches,
-        config.gpu_spec.name,
-    )
+    key = profile_cache.cache_key(entries, config, with_curves)
     output = _profile_cache.get(key)
     if output is not None:
         return output
-    disk_key = None
-    if profile_cache.cache_enabled():
-        disk_key = profile_cache.cache_key(entries, config, with_curves)
-        output = profile_cache.load(disk_key)
+    use_disk = profile_cache.cache_enabled()
+    if use_disk:
+        output = profile_cache.load(key)
         if output is not None:
             _profile_cache[key] = output
             return output
@@ -255,9 +236,16 @@ def get_profiler_output(
         fixed_quantum=config.quantum,
     )
     _profile_cache[key] = output
-    if disk_key is not None:
-        profile_cache.store(disk_key, output)
+    if use_disk:
+        profile_cache.store(key, output)
     return output
+
+
+def _check_scheduler_kind(kind: str) -> None:
+    if kind not in ALL_SCHEDULER_KINDS:
+        raise ValueError(
+            f"unknown scheduler kind {kind!r}; choose from {ALL_SCHEDULER_KINDS}"
+        )
 
 
 def _make_scheduler(
@@ -266,6 +254,7 @@ def _make_scheduler(
     config: ExperimentConfig,
     profiler_output: Optional[ProfilerOutput],
 ) -> Optional[GangScheduler]:
+    _check_scheduler_kind(kind)
     if kind == "tf-serving":
         return None
     if kind == "timer":
@@ -320,15 +309,9 @@ def _make_scheduler(
         "edf": EarliestDeadlineFirst,
         "srw": ShortestRemainingWork,
     }
-    try:
-        policy_cls = policies[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler kind {kind!r}; choose from {ALL_SCHEDULER_KINDS}"
-        )
     return OlympianScheduler(
         sim,
-        policy_cls(),
+        policies[kind](),
         quantum=profiler_output.quantum,
         profiles=profiler_output.store,
         wake_latency=config.wake_latency,
@@ -336,22 +319,32 @@ def _make_scheduler(
     )
 
 
+def _bind_scheduler(
+    server: ModelServer, scheduler: Optional[GangScheduler]
+) -> Optional[GangScheduler]:
+    if isinstance(scheduler, SpatioTemporalScheduler):
+        # The multi-stream engine consults the scheduler for per-job
+        # concurrency bounds (and reports kernel starts to its
+        # invariant checker).
+        server.device.allocator = scheduler
+    return scheduler
+
+
 @dataclass
 class ServingStack:
     """A freshly built simulated serving stack, before any traffic.
 
-    Everything :func:`run_workload` used to wire inline — simulator,
-    scheduler, server, fault injector, recovery manager, telemetry
-    pipeline, drift monitor, loaded models — so the soak harness (and
-    anything else that drives its own traffic) can build the exact
-    stack experiments use and then attach an admission gate or job
-    journal on top.
+    ``server`` is a :class:`ModelServer`, or a :class:`MultiGpuServer`
+    front when built with ``gpus > 1``; the front's workers each have
+    their own scheduler, so ``scheduler`` (and ``monitor``) are then
+    None.  Callers that drive their own traffic (soak, the admission
+    and traffic tests) attach a gate or journal on top.
     """
 
     scheduler_kind: str
     config: ExperimentConfig
     sim: Simulator
-    server: ModelServer
+    server: Union[ModelServer, MultiGpuServer]
     scheduler: Optional[GangScheduler]
     profiler_output: Optional[ProfilerOutput]
     injector: Optional[FaultInjector]
@@ -377,18 +370,26 @@ def build_stack(
     on_snapshot: Optional[Callable] = None,
     recovery: Optional[RecoveryConfig] = None,
     graph_overrides: Optional[Mapping[str, Graph]] = None,
+    gpus: int = 1,
 ) -> ServingStack:
     """Build the simulated serving stack for ``(model, batch)`` entries.
 
-    This performs exactly the construction sequence ``run_workload``
-    always has — same seam order, same derived seeds — so a stack built
-    here behaves bit-identically to one built inside an experiment.
+    The scheduler, server, fault injector, recovery manager, telemetry
+    pipeline and drift monitor are attached in that order, with the
+    server seed derived from ``config.seed`` and the scheduler kind.
+
+    ``gpus > 1`` builds a :class:`MultiGpuServer` with the same server
+    configuration and one scheduler of ``scheduler``'s kind per worker.
+    Faults land on worker 0 and recovery supervises the whole front, so
+    work fails over to the surviving devices.  Telemetry and drift
+    monitoring need a single GPU.
     """
     config = config or ExperimentConfig()
-    if scheduler not in ALL_SCHEDULER_KINDS:
-        raise ValueError(
-            f"unknown scheduler kind {scheduler!r}; choose from {ALL_SCHEDULER_KINDS}"
-        )
+    _check_scheduler_kind(scheduler)
+    if gpus < 1:
+        raise ValueError(f"gpus must be >= 1: {gpus}")
+    if gpus > 1 and (telemetry is not None or monitor):
+        raise ValueError("telemetry and drift monitoring need gpus=1")
     entries = sorted(set(entries))
     needs_profiles = scheduler not in ("tf-serving", "timer") or (
         scheduler == "timer" and config.quantum is None
@@ -397,7 +398,6 @@ def build_stack(
         profiler_output = get_profiler_output(entries, config)
 
     sim = Simulator()
-    gang_scheduler = _make_scheduler(scheduler, sim, config, profiler_output)
     server_config = ServerConfig(
         gpu_spec=config.gpu_spec,
         n_cores=config.n_cores,
@@ -407,24 +407,31 @@ def build_stack(
         seed=derive_seed(config.seed, f"run:{scheduler}"),
         streams=config.streams,
     )
-    server = ModelServer(sim, server_config, scheduler=gang_scheduler)
-    if isinstance(gang_scheduler, SpatioTemporalScheduler):
-        # The multi-stream engine consults the scheduler for per-job
-        # concurrency bounds (and reports kernel starts to its
-        # invariant checker).
-        server.device.allocator = gang_scheduler
+    if gpus == 1:
+        gang_scheduler = _make_scheduler(scheduler, sim, config, profiler_output)
+        server = ModelServer(sim, server_config, scheduler=gang_scheduler)
+        _bind_scheduler(server, gang_scheduler)
+        fault_target = server
+    else:
+        gang_scheduler = None
+        server = MultiGpuServer(
+            sim,
+            gpus,
+            config=server_config,
+            scheduler_factory=lambda sim_, worker: _bind_scheduler(
+                worker, _make_scheduler(scheduler, sim_, config, profiler_output)
+            ),
+        )
+        fault_target = server.workers[0].server
     injector = None
     if fault_plan is not None:
-        injector = FaultInjector(fault_plan)
-        injector.attach(server)
-    recovery_config = recovery if recovery is not None else config.recovery
+        injector = FaultInjector(fault_plan).attach(fault_target)
     manager = None
-    if recovery_config is not None:
-        manager = RecoveryManager(recovery_config).attach(server)
-    telemetry_config = telemetry if telemetry is not None else config.telemetry
+    if recovery is not None:
+        manager = RecoveryManager(recovery).attach(server)
     pipeline = None
-    if telemetry_config is not None:
-        pipeline = Telemetry(telemetry_config)
+    if telemetry is not None:
+        pipeline = Telemetry(telemetry)
         if on_snapshot is not None:
             pipeline.on_snapshot.append(on_snapshot)
         pipeline.attach(server)
@@ -460,24 +467,13 @@ def build_stack(
 
 
 @dataclass
-class ExperimentResult:
-    """A completed run plus metric accessors."""
+class ExperimentResult(ServingStack):
+    """A completed run: the built stack, its clients, and metric accessors."""
 
-    scheduler_kind: str
-    config: ExperimentConfig
-    sim: Simulator
-    server: ModelServer
-    scheduler: Optional[GangScheduler]
     clients: List[Client]
-    profiler_output: Optional[ProfilerOutput]
-    quantum: Optional[float]
     fault_plan: Optional[FaultPlan] = None
-    injector: Optional[FaultInjector] = None
-    telemetry: Optional[Telemetry] = None
     # Telemetry.finalize() rollup, merged into bench/reproduce reports.
     telemetry_rollup: Optional[Dict[str, object]] = None
-    monitor: Optional[QuantumMonitor] = None
-    recovery: Optional[RecoveryManager] = None
 
     # ------------------------------------------------------------------
     # Metric accessors (paper quantities)
@@ -546,11 +542,6 @@ class ExperimentResult:
             + self.injector.devices_crashed
         )
 
-    def recovery_report(self) -> Optional[Dict[str, object]]:
-        if self.recovery is None:
-            return None
-        return self.recovery.report()
-
     @property
     def total_failed_batches(self) -> int:
         return sum(client.failed_batches for client in self.clients)
@@ -599,7 +590,6 @@ def run_workload(
     ``profiler_output`` so the scheduler's cost model agrees with the
     perturbed graphs.
     """
-    config = config or ExperimentConfig()
     entries = sorted({(spec.model, spec.batch_size) for spec in specs})
     stack = build_stack(
         entries,
@@ -613,19 +603,10 @@ def run_workload(
         recovery=recovery,
         graph_overrides=graph_overrides,
     )
-    sim = stack.sim
-    server = stack.server
-    gang_scheduler = stack.scheduler
-    profiler_output = stack.profiler_output
-    injector = stack.injector
-    manager = stack.recovery
-    pipeline = stack.telemetry
-    monitor_obj = stack.monitor
-
     clients = [
         Client(
-            sim,
-            server,
+            stack.sim,
+            stack.server,
             client_id=spec.client_id,
             model_name=spec.model,
             batch_size=spec.batch_size,
@@ -641,11 +622,11 @@ def run_workload(
     ]
     for client in clients:
         client.start()
-    sim.run()
+    stack.sim.run()
     # Scan before finalize so drift alerts land in the rollup.
-    if monitor_obj is not None:
-        monitor_obj.scan()
-    rollup = pipeline.finalize() if pipeline is not None else None
+    if stack.monitor is not None:
+        stack.monitor.scan()
+    rollup = stack.telemetry.finalize() if stack.telemetry is not None else None
 
     if require_completion:
         stuck = [c.client_id for c in clients if not c.completed]
@@ -654,22 +635,9 @@ def run_workload(
                 f"clients did not complete under {scheduler!r}: {stuck}"
             )
 
-    quantum = None
-    if gang_scheduler is not None:
-        quantum = getattr(gang_scheduler, "quantum", None)
     return ExperimentResult(
-        scheduler_kind=scheduler,
-        config=config,
-        sim=sim,
-        server=server,
-        scheduler=gang_scheduler,
+        **vars(stack),
         clients=clients,
-        profiler_output=profiler_output,
-        quantum=quantum,
         fault_plan=fault_plan,
-        injector=injector,
-        telemetry=pipeline,
         telemetry_rollup=rollup,
-        monitor=monitor_obj,
-        recovery=manager,
     )

@@ -93,19 +93,20 @@ class FaultSpec:
             raise ValueError(f"every must be >= 1: {self.every}")
         if self.count < 0:
             raise ValueError(f"count must be >= 0: {self.count}")
+        # Written ``not x >= 0`` so NaN fails too.
         if self.kind == "device_hang":
-            if self.duration <= 0:
+            if not self.duration > 0:
                 raise ValueError(
                     f"device_hang needs a positive duration: {self.duration}"
                 )
-            if self.at < 0:
+            if not self.at >= 0:
                 raise ValueError(f"device_hang time must be >= 0: {self.at}")
         if self.kind == "device_crash":
-            if self.duration < 0:
+            if not self.duration >= 0:
                 raise ValueError(
                     f"device_crash reset latency must be >= 0: {self.duration}"
                 )
-            if self.at < 0:
+            if not self.at >= 0:
                 raise ValueError(f"device_crash time must be >= 0: {self.at}")
 
     def matches(self, job_id: Any) -> bool:

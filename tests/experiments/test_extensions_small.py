@@ -1,5 +1,8 @@
 """Small-scale tests for the extension experiments."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -38,6 +41,17 @@ class TestMultiGpuScaling:
         assert result.speedup(1) == 1.0
         assert result.speedup(2) > 1.3
         assert "multi-GPU" in result.report()
+
+    def test_makespans_and_fairness_pinned(self):
+        # Computed with the extension's hand-built Olympian schedulers,
+        # before they came from the runner's scheduler factory.
+        result = multigpu_scaling(gpu_counts=(1, 2), num_clients=4,
+                                  num_batches=2)
+        payload = [[n, result.makespans[n], result.fairness[n]]
+                   for n in result.gpu_counts]
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == (
+            "3d6861d7c4f073e10532bb827fa31869ba1611f52248ae41c405d4130700bfd2"
+        )
 
     def test_fairness_on_every_size(self):
         result = multigpu_scaling(

@@ -121,5 +121,15 @@ class TestKeying:
             list(reversed(entries)), FAST, with_curves=False
         )
 
+    def test_in_process_cache_keys_like_the_disk(self):
+        from dataclasses import replace
+
+        # The profiler's solo runs see n_cores and pool_size, so the
+        # in-process cache must not hand one host's profile to another.
+        base = get_profiler_output(ENTRIES, FAST)
+        assert get_profiler_output(ENTRIES, replace(FAST, n_cores=4)) is not base
+        assert get_profiler_output(ENTRIES, replace(FAST, pool_size=64)) is not base
+        assert get_profiler_output(ENTRIES, FAST) is base
+
     def test_load_missing_key_is_none(self):
         assert profile_cache.load("0" * 64) is None

@@ -28,6 +28,21 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError, match=">= 0"):
             FaultSpec(kind="device_hang", at=-1.0, duration=1e-3)
 
+    @pytest.mark.parametrize(
+        "kind, kwargs, match",
+        [
+            ("device_hang", {"duration": float("nan")}, "duration"),
+            ("device_hang", {"at": float("nan"), "duration": 1e-3}, ">= 0"),
+            ("device_crash", {"duration": -1e-3}, "reset latency"),
+            ("device_crash", {"duration": float("nan")}, "reset latency"),
+            ("device_crash", {"at": -1.0}, ">= 0"),
+            ("device_crash", {"at": float("nan")}, ">= 0"),
+        ],
+    )
+    def test_bad_device_fault_times_rejected(self, kind, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FaultSpec(kind=kind, **kwargs)
+
     def test_all_kinds_constructible(self):
         for kind in FAULT_KINDS:
             duration = 1e-3 if kind == "device_hang" else 0.0

@@ -97,3 +97,40 @@ class TestLossFreeAccounting:
             assert run.admitted == run.offered
             assert run.completed == run.admitted
             assert run.offered > 0
+
+
+# Soak and resume digests of ``SoakConfig.quick`` on one GPU and on the
+# multi-GPU front, computed before the front moved into ``build_stack``.
+PINNED_QUICK = {
+    (0, 1): ("9226409a986ca1d42e6b7cde184d6b3954d43d1ce4a84f9ce9a184eab49d3e4f",
+             "bd8fc3137b9858ebac8fe2f84d62a3f8d519f5931bc5b411a145287d8b8910d8"),
+    (1, 1): ("6124856affd616dd6bad55bf6519608ea831e22f1d64d98f1cc6c32276875a7b",
+             "d84b783dc4ccaee4d9b5d8b8699f5808a80ab209d735a2f133e80ecde820679f"),
+    (2, 1): ("b6719fa93cf221b4330b66bf9444703df5c6c7fd3ba908bf4490cb5a992a45f7",
+             "1db63710cd54e4b837b20c3b3db2658c89f1f88b7d63be50cb29f8dc4e753d8a"),
+    (3, 1): ("b20efa999c61f5043a54425fb0f331c3442ffd7efaf9d02c0c65dd6bfa870305",
+             "e4bbc7ec2ba310c959bdad1ec7ddc741fb0e6b6d99788914cc754a3ede32c276"),
+    (4, 1): ("ced138602f85aae65b4213cb71b614cc37a8520d0c24e87c5c09650701f3be8d",
+             "c41cca3bf6264be968af75627e61c87225c69a1f4027ff48c932050390116beb"),
+    (0, 2): ("24438d102be65906e58a52db8f0bfd36507c0a17cf9560ce1fdff96d47a9dc29",
+             "f674037a6ede77e4e0a84422c5cd9e4b8735a5c7dbb2406638c9e2bb05089d9f"),
+    (1, 2): ("d209712e2fd0a2df4aba17dfc31619f1f365acd4bd66f5f0b50e17517bdb6e91",
+             "30d04caf0699f39a560ebe588fc18fb9044528cca413a0e6d5708c68347cb590"),
+    (2, 2): ("b5236176d6b805c497905a08f8db1802d3fa2dd05875faa1ebdd6d83d7ad9a61",
+             "d51006969bd5cb9551f3c58bde1bd0be6856462c986b3b728df778e9fd70d7d7"),
+    (3, 2): ("c69e69ed5f50346241c42383ced29905f846fb048e4d13abfdb4093e3f12992f",
+             "493249d859b8cc5fd9bad41295467876be8344e2943398c606e005fdb7a7b89d"),
+    (4, 2): ("99932c564850109800984b27a156cea9733031d29ff367fb9b95c865212c32a2",
+             "37eb0f97c156b0dcffce645d788bf97be122467fb88536b149d4c7d1bb1c8751"),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, gpus", sorted(PINNED_QUICK), ids=lambda v: str(v)
+)
+def test_quick_soak_digests_pinned(seed, gpus):
+    result = run_soak(SoakConfig.quick(seed=seed, gpus=gpus))
+    assert result.ok, result.violations
+    soak_digest, resume_digest = PINNED_QUICK[(seed, gpus)]
+    assert result.soak_digest() == soak_digest
+    assert [run.resume_digest for run in result.runs] == [resume_digest]

@@ -47,6 +47,10 @@ def wall_clock_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def soak(**fields):
+    return lambda: SoakConfig.quick(**fields)
+
+
 def drain(stream):
     collections.deque(stream, maxlen=0)
 
@@ -149,6 +153,16 @@ CASES = {
     "soak-duration=nan": lambda: run_soak(
         SoakConfig.quick(duration=NAN, kills=(), device_crashes=())
     ),
+    "soak-scheduler_kinds=bogus": soak(scheduler_kinds=("bogus",)),
+    "soak-quantum=nan": soak(quantum=NAN),
+    "soak-scale=-1": soak(scale=-1.0),
+    "soak-headroom=2": soak(headroom=2.0),
+    "soak-max_active=0": soak(max_active=0),
+    "soak-max_failovers=-1": soak(max_failovers=-1),
+    "soak-reset_latency=nan": soak(reset_latency=NAN),
+    "soak-device_crashes=nan": soak(device_crashes=(NAN,)),
+    "soak-device_crashes=-1": soak(device_crashes=(-1.0,)),
+    "soak-device_crashes=duration": soak(device_crashes=(0.3,)),
 }
 
 
